@@ -859,6 +859,26 @@ impl DramSystem {
         v
     }
 
+    /// Whether a media row is *blank*: never written and holding no active
+    /// flips.
+    ///
+    /// A blank row reads back as clean zeros and a read of it changes no
+    /// [`DramStats`], exactly as if it had been written with zeros
+    /// (disturbance polarity treats a missing row as stored 0 too). Block
+    /// copies use this to skip rows nobody ever wrote. Allocation-free.
+    #[must_use]
+    pub fn row_is_blank(&self, bank: BankId, media_row: u32) -> bool {
+        let key = row_key(bank, media_row);
+        self.data.get(key).is_none() && self.flipped.get(key).is_none_or(Vec::is_empty)
+    }
+
+    /// Number of media rows with materialized backing data (rows ever
+    /// written). Each costs one `row_bytes` allocation in the model.
+    #[must_use]
+    pub fn written_rows(&self) -> usize {
+        self.data.len()
+    }
+
     /// Patrol scrub (§2.5): walks all corrupted rows; corrects (rewrites)
     /// cells in words with a single flip, reports multi-bit words.
     pub fn scrub(&mut self) -> ScrubReport {
@@ -1090,6 +1110,27 @@ mod tests {
             assert_eq!(scratch, data, "offset {offset} len {len}");
             assert_eq!(integrity_into, integrity);
         }
+    }
+
+    #[test]
+    fn blank_rows_are_unwritten_and_unflipped() {
+        let mut dram = no_trr();
+        let bank = BankId(0);
+        assert!(dram.row_is_blank(bank, 21));
+        assert_eq!(dram.written_rows(), 0);
+        // Flips alone make an unwritten row non-blank (it no longer reads
+        // back as clean zeros) without materializing it.
+        hammer_pair(&mut dram, bank, 20, 22, 200_000);
+        assert!(dram.active_flip_count(bank, 21) > 0);
+        assert!(!dram.row_is_blank(bank, 21));
+        assert_eq!(dram.written_rows(), 0);
+        // Overwriting the whole row clears its flips, but written zeros
+        // are still written data.
+        dram.write_row(bank, 21, 0, &vec![0u8; 8192]);
+        assert_eq!(dram.active_flip_count(bank, 21), 0);
+        assert!(!dram.row_is_blank(bank, 21));
+        assert_eq!(dram.written_rows(), 1);
+        assert!(dram.row_is_blank(BankId(1), 21));
     }
 
     #[test]

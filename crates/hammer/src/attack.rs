@@ -52,16 +52,15 @@ pub fn vm_bank_rows(
     bank: BankId,
     candidate_rows: &[u32],
 ) -> Result<Vec<u32>, SilozError> {
-    use std::collections::HashSet;
-    let mut frames: HashSet<u64> = HashSet::new();
-    for block in hv.vm_unmediated_backing(vm)? {
-        frames.extend(block.frame..block.frame + (block.bytes() / 4096));
-    }
+    let backing = siloz::BackingIndex::new(hv.vm_unmediated_backing(vm)?);
     let decoder = hv.decoder();
     let mut out = Vec::with_capacity(candidate_rows.len());
     for &row in candidate_rows {
         let touching = siloz::artificial::frames_touching_bank_row(decoder, bank, row)?;
-        if touching.iter().any(|f| frames.contains(f)) {
+        if touching
+            .iter()
+            .any(|&f| backing.block_of_frame(f).is_some())
+        {
             out.push(row);
         }
     }
@@ -174,6 +173,39 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use siloz::{HypervisorKind, SilozConfig, VmSpec};
+
+    #[test]
+    fn vm_bank_rows_matches_a_frame_set_reference() {
+        // Baseline VMs interleave within row groups, so some candidate
+        // rows of a bank hold none of the VM's pages.
+        let mut hv = Hypervisor::boot(SilozConfig::mini(), HypervisorKind::Baseline).unwrap();
+        let a = hv.create_vm(VmSpec::new("a", 2, 96 << 20)).unwrap();
+        let _b = hv.create_vm(VmSpec::new("b", 2, 96 << 20)).unwrap();
+        let frames: std::collections::HashSet<u64> = hv
+            .vm_unmediated_backing(a)
+            .unwrap()
+            .iter()
+            .flat_map(|b| b.frame..b.frame + b.bytes() / 4096)
+            .collect();
+        let g = *hv.decoder().geometry();
+        let (socket, rows) = vm_rows(&hv, a).unwrap().remove(0);
+        let candidates: Vec<u32> = (0..g.rows_per_bank).collect();
+        for flat in [0, 7, 33] {
+            let bank = BankId(socket as u32 * g.banks_per_socket() + flat);
+            let want: Vec<u32> = candidates
+                .iter()
+                .copied()
+                .filter(|&row| {
+                    siloz::artificial::frames_touching_bank_row(hv.decoder(), bank, row)
+                        .unwrap()
+                        .iter()
+                        .any(|f| frames.contains(f))
+                })
+                .collect();
+            assert_eq!(vm_bank_rows(&hv, a, bank, &candidates).unwrap(), want);
+            assert_eq!(vm_bank_rows(&hv, a, bank, &rows).unwrap(), rows);
+        }
+    }
 
     fn quick_cfg() -> FuzzConfig {
         FuzzConfig {

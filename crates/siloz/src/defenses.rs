@@ -156,7 +156,7 @@ pub fn copy_on_flip_respond(
         corrected_errors: scrub.corrected.len(),
         ..CopyOnFlipReport::default()
     };
-    let backing = hv.vm_unmediated_backing(vm)?;
+    let backing = crate::vm::BackingIndex::new(hv.vm_unmediated_backing(vm)?);
     let decoder = hv.decoder().clone();
     // Sorted for O(log n) dedup below — a scrub pass over a wide blast
     // radius revisits the same blocks once per corrected line, and the
@@ -167,11 +167,7 @@ pub fn copy_on_flip_respond(
         let frames = crate::artificial::frames_touching_bank_row(&decoder, *bank, *row)?;
         let mut hit_vm = false;
         for frame in frames {
-            let phys = frame * 4096;
-            if let Some(block) = backing
-                .iter()
-                .find(|b| phys >= b.hpa() && phys < b.hpa() + b.bytes())
-            {
+            if let Some(block) = backing.block_of_frame(frame) {
                 hit_vm = true;
                 let gpa = block.gpa;
                 if let Err(slot) = migrated_gpas.binary_search(&gpa) {

@@ -132,10 +132,11 @@ pub struct Hypervisor {
     kind: HypervisorKind,
     config: SilozConfig,
     decoder: SystemAddressDecoder,
-    /// Decode memoization for the line-by-line `copy_phys` loop: a clone of
-    /// `decoder` behind a row-group-granular cache, so migrating a block
-    /// decodes each row-group stripe once instead of every 64 B. Decode is
-    /// pure address-map config, so the two decoders always agree.
+    /// Decode memoization for `copy_phys`'s per-line fallback (blank
+    /// stripes are skipped without decoding lines): a clone of `decoder`
+    /// behind a row-group-granular cache, so the fallback decodes each
+    /// row-group stripe once instead of every 64 B. Decode is pure
+    /// address-map config, so the two decoders always agree.
     copy_tlb: dram_addr::DecodeTlb,
     /// Reused line buffer for `copy_phys` (allocation-free copy loop).
     copy_scratch: Vec<u8>,
@@ -1185,13 +1186,82 @@ impl Hypervisor {
         Ok(hpa_of_frame(frame))
     }
 
-    /// Copies `len` bytes between physical ranges, line by line (used by
-    /// migration-based defenses).
+    /// Copies `len` bytes between physical ranges (used by migration-based
+    /// defenses and defrag), with results bit-identical to a line-by-line
+    /// read/write copy.
     ///
-    /// Decodes go through the hypervisor's copy TLB (one real decode per
-    /// row-group stripe rather than per 64 B line) and reads land in a
-    /// reused scratch buffer, so the per-line loop is allocation-free.
+    /// The range is walked in segments that stay inside one row-group
+    /// stripe on *both* sides (2 MiB blocks are not stripe-aligned, so the
+    /// two sides' boundaries differ). A segment whose source and
+    /// destination stripes are blank in every bank — never written, no
+    /// active flips — is skipped whole: it would read clean zeros and write
+    /// zeros into rows that already read as zeros. Any other segment is
+    /// copied line by line through the copy TLB and a reused scratch
+    /// buffer, still skipping lines whose two rows are both blank. Reads
+    /// are never merged across lines, so ECC classifies exactly the words
+    /// the reference loop did.
     pub fn copy_phys(&mut self, src: u64, dst: u64, len: u64) -> Result<(), SilozError> {
+        let g = *self.decoder.geometry();
+        let stripe = g.row_group_bytes();
+        let mut off = 0u64;
+        while off < len {
+            let seg_end = (off + stripe - (src + off) % stripe)
+                .min(off + stripe - (dst + off) % stripe)
+                .min(len);
+            if self.stripe_is_blank(src + off) && self.stripe_is_blank(dst + off) {
+                off = seg_end;
+                continue;
+            }
+            while off < seg_end {
+                let sm = self.copy_tlb.decode(src + off)?;
+                let chunk = (dram_addr::CACHE_LINE_BYTES
+                    - (src + off) % dram_addr::CACHE_LINE_BYTES)
+                    .min(len - off);
+                let sbank = sm.global_bank(&g);
+                // Decoded before the read so a blank pair can skip it; a
+                // destination error still surfaces after the read, as in
+                // the reference loop.
+                let dm = self.copy_tlb.decode(dst + off);
+                if let Ok(dm) = &dm {
+                    if self.dram.row_is_blank(sbank, sm.row)
+                        && self.dram.row_is_blank(dm.global_bank(&g), dm.row)
+                    {
+                        off += chunk;
+                        continue;
+                    }
+                }
+                let _ = self.dram.read_row_into(
+                    sbank,
+                    sm.row,
+                    sm.col,
+                    chunk as u32,
+                    &mut self.copy_scratch,
+                );
+                let dm = dm?;
+                self.dram
+                    .write_row(dm.global_bank(&g), dm.row, dm.col, &self.copy_scratch);
+                off += chunk;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether every bank's row of the row-group stripe holding `phys` is
+    /// blank. Out-of-range addresses count as not blank, so the caller's
+    /// line loop reports the error where the reference loop would.
+    fn stripe_is_blank(&self, phys: u64) -> bool {
+        let Ok((socket, row)) = self.decoder.row_group_of(phys) else {
+            return false;
+        };
+        let banks = self.decoder.geometry().banks_per_socket();
+        let first = socket as u32 * banks;
+        (first..first + banks).all(|b| self.dram.row_is_blank(dram_addr::BankId(b), row))
+    }
+
+    /// The line-by-line copy [`Self::copy_phys`] must stay bit-identical
+    /// to: every line read (ECC applied) and written back, blank or not.
+    #[cfg(test)]
+    fn copy_phys_reference(&mut self, src: u64, dst: u64, len: u64) -> Result<(), SilozError> {
         let g = *self.decoder.geometry();
         let mut off = 0u64;
         while off < len {
@@ -1613,5 +1683,323 @@ mod tests {
             hv.translate(vm, mmio_gpa),
             Err(SilozError::Ept(EptError::NotMapped { .. }))
         ));
+    }
+}
+
+#[cfg(test)]
+mod copy_phys_equivalence {
+    //! Pins the blank-aware [`Hypervisor::copy_phys`] to the line-by-line
+    //! reference loop: same bytes, integrity, `DramStats` and scrub output
+    //! over both ranges, from DRAM states mixing blank, written and flipped
+    //! rows.
+
+    use super::*;
+    use dram::{DimmProfile, DisturbanceWeights};
+    use dram_addr::{BankId, CACHE_LINE_BYTES};
+    use proptest::prelude::*;
+
+    /// Row-group stripe bytes of the mini machine (64 banks x 8 KiB).
+    const STRIPE: u64 = 512 << 10;
+
+    /// A DRAM mutation applied before the copy.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Writes `len` bytes of `fill` at `col` of `(bank, row)`.
+        Write {
+            bank: u32,
+            row: u32,
+            col: u32,
+            len: u32,
+            fill: u8,
+        },
+        /// `count` back-to-back activations of `(bank, row)`.
+        Hammer { bank: u32, row: u32, count: u64 },
+    }
+
+    /// A mini Siloz host whose DIMMs hold `weak_cells_per_row` weak cells
+    /// per row at a threshold short bursts cross. Dense populations put
+    /// two or more flips in one word (uncorrectable and silent reads);
+    /// sparse ones leave single-bit words (corrected reads).
+    fn host(weak_cells_per_row: f64) -> Hypervisor {
+        let config = SilozConfig::mini();
+        let profile = DimmProfile {
+            name: "weak",
+            base_threshold: 2_000.0,
+            threshold_spread: 0.2,
+            weights: DisturbanceWeights::default(),
+            rowpress_per_us: 0.0,
+            weak_cells_per_row,
+            seed: 0x5eed,
+        };
+        let dram = DramSystemBuilder::new(config.geometry)
+            .internal_map(config.internal_map)
+            .profiles(vec![profile])
+            .trr(0, 0)
+            .build();
+        Hypervisor::boot_with(config, HypervisorKind::Siloz, dram, RepairMap::new()).unwrap()
+    }
+
+    fn apply(hv: &mut Hypervisor, ops: &[Op]) {
+        for op in ops {
+            match *op {
+                Op::Write {
+                    bank,
+                    row,
+                    col,
+                    len,
+                    fill,
+                } => {
+                    let bytes = vec![fill; len as usize];
+                    hv.dram_mut().write_row(BankId(bank), row, col, &bytes);
+                }
+                Op::Hammer { bank, row, count } => {
+                    hv.dram_mut().activate_burst(BankId(bank), row, count, 0);
+                }
+            }
+        }
+    }
+
+    /// Asserts the two hosts are observably identical over `ranges`: every
+    /// line's bytes and integrity, the stats those reads leave, the active
+    /// flips, and a scrub pass.
+    fn assert_same_state(fast: &mut Hypervisor, reference: &mut Hypervisor, ranges: &[(u64, u64)]) {
+        assert_eq!(
+            fast.dram().stats(),
+            reference.dram().stats(),
+            "stats after copy"
+        );
+        let g = *fast.decoder().geometry();
+        for &(base, len) in ranges {
+            let mut off = 0u64;
+            while off < len {
+                let m = fast.decoder().decode(base + off).unwrap();
+                let chunk = (CACHE_LINE_BYTES - (base + off) % CACHE_LINE_BYTES).min(len - off);
+                let bank = m.global_bank(&g);
+                let got = fast.dram_mut().read_row(bank, m.row, m.col, chunk as u32);
+                let want = reference
+                    .dram_mut()
+                    .read_row(bank, m.row, m.col, chunk as u32);
+                assert_eq!(got, want, "line at {:#x}", base + off);
+                off += chunk;
+            }
+        }
+        assert_eq!(
+            fast.dram().stats(),
+            reference.dram().stats(),
+            "stats after reads"
+        );
+        assert_eq!(
+            fast.dram().rows_with_active_flips(),
+            reference.dram().rows_with_active_flips()
+        );
+        let (a, b) = (fast.dram_mut().scrub(), reference.dram_mut().scrub());
+        assert_eq!(a.corrected, b.corrected, "scrub corrected");
+        assert_eq!(a.uncorrectable, b.uncorrectable, "scrub uncorrectable");
+    }
+
+    /// Runs `ops` on two identical hosts, copies with the fast path on one
+    /// and the reference loop on the other, and compares them. Returns the
+    /// reference copy's stats delta.
+    fn check(weak: f64, ops: &[Op], src: u64, dst: u64, len: u64) -> dram::DramStats {
+        let mut fast = host(weak);
+        let mut reference = host(weak);
+        apply(&mut fast, ops);
+        apply(&mut reference, ops);
+        let before = *reference.dram().stats();
+        let r_fast = fast.copy_phys(src, dst, len);
+        let r_ref = reference.copy_phys_reference(src, dst, len);
+        assert_eq!(format!("{r_fast:?}"), format!("{r_ref:?}"), "copy result");
+        let after = *reference.dram().stats();
+        // Compare only the part of each range inside the installed DRAM.
+        let capacity = fast.decoder().capacity();
+        let clamp = |base: u64| (base, len.min(capacity.saturating_sub(base)));
+        assert_same_state(&mut fast, &mut reference, &[clamp(src), clamp(dst)]);
+        dram::DramStats {
+            corrected_words: after.corrected_words - before.corrected_words,
+            uncorrectable_words: after.uncorrectable_words - before.uncorrectable_words,
+            silent_words: after.silent_words - before.silent_words,
+            ..after
+        }
+    }
+
+    /// One op aimed at the stripes a copy touches, before it is anchored:
+    /// `side` picks the source or destination base stripe and `row_off` a
+    /// stripe within the copy. A hammer's aggressor sits one row before
+    /// that stripe, so its victims land on copied rows.
+    #[derive(Debug, Clone, Copy)]
+    struct RawOp {
+        hammer: bool,
+        side: u32,
+        row_off: u32,
+        bank: u32,
+        col: u32,
+        len: u32,
+        fill: u8,
+        count: u64,
+    }
+
+    fn raw_op() -> impl Strategy<Value = RawOp> {
+        (
+            (0u32..2, 0u32..2, 0u32..5),
+            (0u32..64, 0u32..8192, 1u32..512, any::<u8>(), 0usize..4),
+        )
+            .prop_map(
+                |((kind, side, row_off), (bank, col, len, fill, count))| RawOp {
+                    hammer: kind == 1,
+                    side,
+                    row_off,
+                    bank,
+                    col,
+                    len: len.min(8192 - col).max(1),
+                    fill,
+                    count: [1_500, 4_000, 20_000, 400_000][count],
+                },
+            )
+    }
+
+    /// The media row (row group) holding physical address `phys`.
+    fn row_of(phys: u64) -> u32 {
+        let config = SilozConfig::mini();
+        let decoder = SystemAddressDecoder::new(config.geometry, config.decoder).unwrap();
+        decoder.row_group_of(phys).unwrap().1
+    }
+
+    fn anchor(raw: RawOp, src: u64, dst: u64) -> Op {
+        let base = if raw.side == 0 { src } else { dst };
+        let row = row_of(base + raw.row_off as u64 * STRIPE);
+        if raw.hammer {
+            Op::Hammer {
+                bank: raw.bank,
+                row: row.saturating_sub(1),
+                count: raw.count,
+            }
+        } else {
+            Op::Write {
+                bank: raw.bank,
+                row,
+                col: raw.col,
+                len: raw.len,
+                fill: raw.fill,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random blank/written/flipped stripes, stripe-aligned or skewed
+        /// source and destination (including overlapping ranges), partial
+        /// first and last lines.
+        #[test]
+        fn fast_copy_matches_line_by_line_reference(
+            density in 0u32..3,
+            s in 1u32..40,
+            d in 1u32..40,
+            skew_kind in 0u32..3,
+            src_skew in 0u64..8192,
+            dst_skew in 0u64..8192,
+            sub in 0u64..64,
+            len in 1u64..(5 * STRIPE / 2),
+            raw_ops in proptest::collection::vec(raw_op(), 0..10),
+        ) {
+            let weak = [4.0, 60.0, 3_000.0][density as usize];
+            // 0: stripe-aligned; 1: skewed by whole lines; 2: also by a
+            // shared sub-line offset (the line chunking follows the
+            // source, so both sides share it).
+            let (src_lines, dst_lines, sub) = match skew_kind {
+                0 => (0, 0, 0),
+                1 => (src_skew, dst_skew, 0),
+                _ => (src_skew, dst_skew, sub),
+            };
+            let src = s as u64 * STRIPE + src_lines * CACHE_LINE_BYTES + sub;
+            let dst = d as u64 * STRIPE + dst_lines * CACHE_LINE_BYTES + sub;
+            let ops: Vec<Op> = raw_ops.into_iter().map(|r| anchor(r, src, dst)).collect();
+            check(weak, &ops, src, dst, len);
+        }
+    }
+
+    #[test]
+    fn every_ecc_path_is_exercised() {
+        // Dense weak cells double-side hammered around a source row: the
+        // copy reads single-, double- and triple-bit words. One bank's row
+        // is written in each of a source stripe and an otherwise blank,
+        // skewed destination stripe.
+        let (src, dst, len) = (10 * STRIPE, 20 * STRIPE + 4096, 2 * STRIPE);
+        let victim = row_of(src);
+        let ops = [
+            Op::Write {
+                bank: 3,
+                row: row_of(src + STRIPE),
+                col: 64,
+                len: 256,
+                fill: 0xa5,
+            },
+            Op::Hammer {
+                bank: 5,
+                row: victim - 1,
+                count: 400_000,
+            },
+            Op::Hammer {
+                bank: 5,
+                row: victim + 1,
+                count: 400_000,
+            },
+            Op::Write {
+                bank: 7,
+                row: row_of(dst),
+                col: 0,
+                len: 8192,
+                fill: 0xff,
+            },
+        ];
+        let dense = check(3_000.0, &ops, src, dst, len);
+        assert!(dense.corrected_words > 0, "{dense:?}");
+        assert!(dense.uncorrectable_words > 0, "{dense:?}");
+        assert!(dense.silent_words > 0, "{dense:?}");
+        let sparse = check(4.0, &ops, src, dst, len);
+        assert!(sparse.corrected_words > 0, "{sparse:?}");
+    }
+
+    #[test]
+    fn copy_past_capacity_fails_where_the_reference_does() {
+        let capacity = SilozConfig::mini().geometry.total_bytes();
+        let src = 2 * STRIPE;
+        let ops = [Op::Hammer {
+            bank: 2,
+            row: row_of(src) + 1,
+            count: 20_000,
+        }];
+        // The destination runs off the end mid-copy; the source read of
+        // the failing line still happens (and counts its ECC event).
+        check(3_000.0, &ops, src, capacity - STRIPE - 512, 3 * STRIPE);
+    }
+
+    #[test]
+    fn migrating_a_never_written_block_materializes_no_rows() {
+        let mut hv = host(4.0);
+        let vm = hv.create_vm(VmSpec::new("a", 2, 96 << 20)).unwrap();
+        let old = hv.vm_unmediated_backing(vm).unwrap()[1];
+        let rows = hv.dram().written_rows();
+        hv.migrate_block(vm, old.gpa).unwrap();
+        let new = hv.vm_unmediated_backing(vm).unwrap()[1];
+        assert_ne!(new.frame, old.frame, "the block moved");
+        assert_eq!(hv.dram().written_rows(), rows, "no row materialized");
+    }
+
+    #[test]
+    fn migration_carries_written_data() {
+        let mut hv = host(4.0);
+        let vm = hv.create_vm(VmSpec::new("a", 2, 96 << 20)).unwrap();
+        let old = hv.vm_unmediated_backing(vm).unwrap()[1];
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 7 + 1) as u8).collect();
+        let gpa = old.gpa + 0x1234;
+        hv.guest_write(vm, gpa, &data).unwrap();
+        hv.migrate_block(vm, gpa).unwrap();
+        assert_ne!(hv.vm_unmediated_backing(vm).unwrap()[1].frame, old.frame);
+        let (back, intact) = hv.guest_read(vm, gpa, data.len()).unwrap();
+        assert!(intact);
+        assert_eq!(back, data);
+        let (rest, _) = hv.guest_read(vm, old.gpa, 0x1234).unwrap();
+        assert!(rest.iter().all(|&b| b == 0), "unwritten bytes stay zero");
     }
 }

@@ -55,7 +55,7 @@ pub use iommu::IommuDomain;
 pub use provision::ProvisionedTopology;
 pub use snc::{apply_snc, SncMap};
 pub use virtio::{DmaRateLimiter, VirtQueue, VirtioBlk};
-pub use vm::{BackingBlock, MemoryRegionKind, VmHandle, VmSpec};
+pub use vm::{BackingBlock, BackingIndex, MemoryRegionKind, VmHandle, VmSpec};
 
 /// Errors produced by the hypervisor and its boot-time computations.
 #[derive(Debug, Clone, PartialEq)]

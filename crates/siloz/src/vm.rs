@@ -136,6 +136,34 @@ impl BackingBlock {
     }
 }
 
+/// A VM's backing blocks sorted by first frame, answering "which block
+/// holds this host frame?" by binary search instead of a scan or a
+/// per-frame set. Blocks come from disjoint buddy allocations, so at most
+/// one holds any frame.
+#[derive(Debug, Clone, Default)]
+pub struct BackingIndex {
+    blocks: Vec<BackingBlock>,
+}
+
+impl BackingIndex {
+    /// Indexes `blocks` (in any order).
+    #[must_use]
+    pub fn new(mut blocks: Vec<BackingBlock>) -> Self {
+        blocks.sort_unstable_by_key(|b| b.frame);
+        Self { blocks }
+    }
+
+    /// The block holding host frame `frame`, if any.
+    #[must_use]
+    pub fn block_of_frame(&self, frame: u64) -> Option<&BackingBlock> {
+        let i = self.blocks.partition_point(|b| b.frame <= frame);
+        // The last block starting at or before `frame`; it holds `frame`
+        // iff `frame` falls within its 2^order frames.
+        let block = self.blocks.get(i.checked_sub(1)?)?;
+        (frame - block.frame < 1u64 << block.order).then_some(block)
+    }
+}
+
 /// A mapped region of a VM.
 #[derive(Debug, Clone)]
 pub struct VmRegion {
@@ -152,6 +180,32 @@ pub struct VmRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backing_index_matches_a_linear_scan() {
+        let block = |gpa, frame, order| BackingBlock {
+            gpa,
+            frame,
+            order,
+            node: NodeId(0),
+        };
+        // Unsorted, mixed orders, adjacent and gapped.
+        let blocks = vec![
+            block(0x40_0000, 4096, 9),
+            block(0, 512, 9),
+            block(0x80_0000, 1024, 0),
+            block(0x80_1000, 1025, 0),
+            block(0xc0_0000, 3000, 3),
+        ];
+        let index = BackingIndex::new(blocks.clone());
+        for frame in 0..5000u64 {
+            let scan = blocks
+                .iter()
+                .find(|b| frame * 4096 >= b.hpa() && frame * 4096 < b.hpa() + b.bytes());
+            assert_eq!(index.block_of_frame(frame), scan, "frame {frame}");
+        }
+        assert_eq!(BackingIndex::default().block_of_frame(7), None);
+    }
 
     #[test]
     fn mediation_classification_follows_section_5_1() {
