@@ -9,25 +9,28 @@
 //! 3. **Activation ledger** — coalesced `activate_burst` vs the per-ACT
 //!    device reference path on a ~1M-ACT hammer loop, with device state
 //!    asserted bit-identical.
-//! 4. **Trace compiler** — `figure4` regenerated through the compiled
+//! 4. **Compiled hammer patterns** — one Blacksmith attempt through the
+//!    compiled `plan_runs`/`apply_run` loop vs a per-burst
+//!    `activate_burst` loop, with flips and stats asserted bit-identical.
+//! 5. **Trace compiler** — `figure4` regenerated through the compiled
 //!    ledger/replay pipeline, cold (`figure4_compiled` row, fresh
 //!    [`TraceCache`] per run) and steady-state (`figure4_quick` row, one
 //!    persistent cache across runs), vs the uncompiled per-cell
 //!    generate-and-simulate reference — all three outputs asserted
 //!    bit-identical.
-//! 5. **Fleet incremental isolation check** — plus the TLB-memoized,
+//! 6. **Fleet incremental isolation check** — plus the TLB-memoized,
 //!    allocation-free migration copy path underneath the event loop. The
 //!    dirty-set fast path is gated: incremental checking must cost at
 //!    most half the full-proof ns/event on the quick soak.
-//! 6. **Mitigation overhead** — per-backend ns/ACT of the controller
+//! 7. **Mitigation overhead** — per-backend ns/ACT of the controller
 //!    hook (`blockhammer`, `breakhammer`) vs the unhooked `none` fast
 //!    path, on the same mixed trace the controller bench replays.
-//! 7. **Cluster soak** — the sharded multi-host engine stepped at 1, 2,
+//! 8. **Cluster soak** — the sharded multi-host engine stepped at 1, 2,
 //!    and 7 workers (events/sec per worker count, reports asserted
 //!    bit-identical), plus the amortized cost of a cluster-wide sync
 //!    proof vs a per-host boundary check, both read from the engines'
 //!    volatile wall-clock counters.
-//! 8. **Indexed scheduler** — the free-bucket/affinity-class scheduler
+//! 9. **Indexed scheduler** — the free-bucket/affinity-class scheduler
 //!    index vs the retained linear-scan oracle: a 4096-host place/release
 //!    churn script (pick sequences asserted identical, ≥5× speedup
 //!    asserted) and the scheduling-phase wall clock of a 1024-host
@@ -249,6 +252,80 @@ fn bench_device_hammer(reg: &Registry) -> Measure {
         optimized: "coalesced activate_burst ledger",
         baseline_ns: per_act / acts as f64,
         optimized_ns: burst / acts as f64,
+        threads: 1,
+    }
+}
+
+/// One Blacksmith hammering attempt, the fleet's attack unit: a sampled
+/// many-sided pattern hammered for 30k periods against the default-TRR
+/// mini DIMM. The compiled loop ([`hammer::Blacksmith::hammer`]: the
+/// pattern resolved once by `plan_runs`, each run replayed by `apply_run`)
+/// runs against the uncompiled per-burst loop written out here — one
+/// `activate_burst` per coalesced run, every run re-resolved every period.
+/// Flips (ordered), stats, clock, and ACT counts are asserted bit-identical
+/// before timing; `ns_per_op` is per ACT.
+fn bench_fuzzer_campaign(reg: &Registry) -> Measure {
+    use dram_addr::{mini_geometry, BankId};
+    use hammer::{Blacksmith, FuzzConfig, HammerPattern, T_RC_NS};
+    use rand::SeedableRng;
+
+    const PERIODS: u32 = 30_000;
+    let bank = BankId(0);
+    let rows: Vec<u32> = (0..256).collect();
+    let pattern = HammerPattern::random(&rows, &mut rand::rngs::StdRng::seed_from_u64(0));
+    let fuzzer = Blacksmith::new(FuzzConfig {
+        patterns: 1,
+        periods_per_attempt: PERIODS,
+        extra_open_ns: 0,
+    });
+    let device = || dram::DramSystemBuilder::new(mini_geometry()).build();
+    let compiled = || {
+        let mut d = device();
+        let mut acts = 0u64;
+        fuzzer.hammer(&mut d, bank, &pattern, &mut acts);
+        (d, acts)
+    };
+    let per_burst = || {
+        let mut d = device();
+        let mut acts = 0u64;
+        let runs = pattern.coalesced_schedule();
+        for _ in 0..PERIODS {
+            for &(row, count) in &runs {
+                d.activate_burst(bank, row, u64::from(count), 0);
+                acts += u64::from(count);
+            }
+            d.advance_ns(pattern.schedule.len() as u64 * T_RC_NS);
+        }
+        (d, acts)
+    };
+    let (c_dev, acts) = compiled();
+    let (b_dev, b_acts) = per_burst();
+    assert_eq!(acts, b_acts, "compiled loop issued a different ACT count");
+    assert_eq!(
+        c_dev.stats(),
+        b_dev.stats(),
+        "compiled loop diverged from per-burst stats"
+    );
+    assert_eq!(
+        c_dev.flip_log().all(),
+        b_dev.flip_log().all(),
+        "compiled loop diverged from per-burst flips"
+    );
+    assert_eq!(c_dev.now_ns(), b_dev.now_ns(), "clocks diverged");
+    assert!(
+        !c_dev.flip_log().is_empty(),
+        "the campaign must actually flip bits"
+    );
+    reg.child("fuzzer_campaign").counter("acts").add(acts);
+
+    let per_burst_ns = best_of(3, per_burst);
+    let compiled_ns = best_of(3, compiled);
+    Measure {
+        name: "fuzzer_campaign",
+        baseline: "per-burst loop (activate_burst per run)",
+        optimized: "compiled pattern (plan_runs once, apply_run per run)",
+        baseline_ns: per_burst_ns / acts as f64,
+        optimized_ns: compiled_ns / acts as f64,
         threads: 1,
     }
 }
@@ -727,6 +804,7 @@ fn main() {
         bench_decode(&reg),
         bench_controller(&reg),
         bench_device_hammer(&reg),
+        bench_fuzzer_campaign(&reg),
     ];
     measures.extend(bench_figure4(threads, &reg));
     measures.push(bench_fleet(&reg));

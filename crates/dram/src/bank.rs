@@ -73,9 +73,18 @@ impl VictimState {
 
 /// Mutable state of a single DRAM bank: victim disturbance accumulators,
 /// per-side TRR trackers, and the auto-refresh pointer.
+///
+/// Victims live in a dense arena (`victims`) addressed through a
+/// `(side, internal row)` → slot index (`victim_slots`). Victims are never
+/// removed — refresh resets them in place — so a slot index, once handed
+/// out, names the same half-row for the bank's lifetime. Compiled
+/// [`crate::RunPlan`]s rely on that to skip the key lookup on replay.
 #[derive(Debug)]
 pub struct BankState {
-    pub(crate) victims: RowMap<VictimState>,
+    /// Victim arena, in first-touch order.
+    pub(crate) victims: Vec<VictimState>,
+    /// Packed [`victim_key`] → index into `victims`.
+    pub(crate) victim_slots: RowMap<u32>,
     pub(crate) trr: [TrrTracker; 2],
     /// Next internal row the distributed auto-refresh will cover.
     pub(crate) refresh_ptr: u32,
@@ -88,7 +97,8 @@ impl BankState {
     #[must_use]
     pub fn new(trr_capacity: usize, trr_served_per_ref: usize) -> Self {
         Self {
-            victims: RowMap::new(),
+            victims: Vec::new(),
+            victim_slots: RowMap::new(),
             trr: [
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
                 TrrTracker::new(trr_capacity, trr_served_per_ref),
@@ -98,8 +108,35 @@ impl BankState {
         }
     }
 
-    /// Returns the victim state for `(side, internal_row)`, creating it with
-    /// its deterministic weak-cell population on first touch.
+    /// Returns the arena slot of the victim `(side, internal_row)`, creating
+    /// it with its deterministic weak-cell population on first touch.
+    #[inline]
+    pub(crate) fn victim_slot(
+        &mut self,
+        profile: &DimmProfile,
+        bank: u32,
+        side: RankSide,
+        internal_row: u32,
+        half_row_bytes: u32,
+    ) -> u32 {
+        let next = self.victims.len() as u32;
+        let slot = *self
+            .victim_slots
+            .get_or_insert_with(victim_key(side_idx(side), internal_row), || next);
+        if slot == next {
+            self.victims.push(VictimState {
+                base: 0.0,
+                w: 0.0,
+                n: 0,
+                cells: weak_cells(profile, bank, side, internal_row, half_row_bytes),
+                next_cell: 0,
+            });
+        }
+        slot
+    }
+
+    /// Returns the victim state for `(side, internal_row)`, creating it on
+    /// first touch (see [`BankState::victim_slot`]).
     #[inline]
     pub(crate) fn victim_mut(
         &mut self,
@@ -109,14 +146,17 @@ impl BankState {
         internal_row: u32,
         half_row_bytes: u32,
     ) -> &mut VictimState {
-        self.victims
-            .get_or_insert_with(victim_key(side_idx(side), internal_row), || VictimState {
-                base: 0.0,
-                w: 0.0,
-                n: 0,
-                cells: weak_cells(profile, bank, side, internal_row, half_row_bytes),
-                next_cell: 0,
-            })
+        let slot = self.victim_slot(profile, bank, side, internal_row, half_row_bytes);
+        &mut self.victims[slot as usize]
+    }
+
+    /// The arena slot of `(side, internal_row)`, if it was ever touched.
+    #[inline]
+    #[must_use]
+    pub(crate) fn existing_slot(&self, side: u8, internal_row: u32) -> Option<u32> {
+        self.victim_slots
+            .get(victim_key(side, internal_row))
+            .copied()
     }
 
     /// Refreshes one half-row: clears its disturbance accumulator and
@@ -124,7 +164,8 @@ impl BankState {
     /// flipped until rewritten or scrubbed).
     #[inline]
     pub(crate) fn refresh_half_row(&mut self, side: u8, internal_row: u32) {
-        if let Some(v) = self.victims.get_mut(victim_key(side, internal_row)) {
+        if let Some(slot) = self.existing_slot(side, internal_row) {
+            let v = &mut self.victims[slot as usize];
             v.base = 0.0;
             v.n = 0;
             v.next_cell = 0;
@@ -141,7 +182,7 @@ impl BankState {
     #[must_use]
     pub fn max_disturbance(&self) -> f64 {
         self.victims
-            .values()
+            .iter()
             .map(VictimState::disturb)
             .fold(0.0, f64::max)
     }
@@ -173,7 +214,7 @@ mod tests {
             assert_eq!(v.disturb(), 123.0);
         }
         b.refresh_row(7);
-        let v = b.victims.get(victim_key(0, 7)).unwrap();
+        let v = &b.victims[b.existing_slot(0, 7).unwrap() as usize];
         assert_eq!(v.disturb(), 0.0);
         assert_eq!(v.next_cell, 0);
     }

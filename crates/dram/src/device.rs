@@ -3,8 +3,9 @@
 //! The activation path here is tier-0 hot: hammer patterns activate the same
 //! few aggressor rows millions of times per refresh window. Supporting state
 //! is therefore flat (geometry-ordinal `Vec`s instead of hashed maps, a
-//! precomputed per-bank profile copy, reusable scratch buffers), and the
-//! device offers two equivalent activation entry points:
+//! precomputed per-bank profile copy, a dense per-bank victim arena,
+//! reusable scratch buffers), and the device offers these activation entry
+//! points:
 //!
 //! - [`DramSystem::activate_row`] / [`DramSystem::activate`]: the per-ACT
 //!   *reference* path, O(blast radius) per activation;
@@ -13,14 +14,20 @@
 //!   between refresh events is linear in the activation count, so a burst
 //!   can accumulate `count * w` per victim and emit every newly-crossed weak
 //!   cell in one ordered sweep; `TrrTracker::observe_n` replays the sampler
-//!   state exactly. The equivalence proptests in
-//!   `crates/dram/tests/burst_equivalence.rs` pin the two paths to
-//!   bit-identical flips, stats, and telemetry.
+//!   state exactly;
+//! - [`DramSystem::plan_runs`] + [`DramSystem::apply_run`]: the same burst
+//!   for a schedule that repeats (a hammer pattern's period). Planning
+//!   resolves each run once — aggressor rows, repair targets, victim arena
+//!   slots, RowPress-scaled weights — and each replay skips straight to the
+//!   victim updates. Both burst paths share one victim-update kernel.
+//!
+//! The equivalence proptests in `crates/dram/tests/burst_equivalence.rs` pin
+//! all three paths to bit-identical flips, stats, and telemetry.
 
-use crate::bank::{side_idx, BankState};
+use crate::bank::{side_idx, BankState, VictimState};
 use crate::ecc::{classify, EccMode, ReadIntegrity};
 use crate::flip::{BitFlip, FlipLog, WeakCell};
-use crate::profile::DimmProfile;
+use crate::profile::{DimmProfile, DisturbanceWeights};
 use crate::rowmap::RowMap;
 use crate::{REFRESH_WINDOW_NS, REFS_PER_WINDOW};
 use dram_addr::transform::media_row_from_internal;
@@ -99,6 +106,131 @@ fn first_crossing(base: f64, w: f64, n0: u64, count: u64, threshold: f64) -> u64
         j += 1;
     }
     j
+}
+
+/// A weak cell crossed during an activation run, collected before it is
+/// applied: `(act index within the run, side, internal victim row, cell)`.
+type CollectedFlip = (u64, RankSide, u32, WeakCell);
+
+/// One victim half-row a planned run disturbs, resolved to its bank's
+/// victim arena.
+#[derive(Debug)]
+struct VictimHit {
+    /// Slot in [`BankState`]'s victim arena.
+    slot: u32,
+    /// Internal row of the victim half-row.
+    row: u32,
+    /// Per-ACT disturbance weight, RowPress included.
+    w: f64,
+}
+
+/// One activation run resolved against its bank.
+#[derive(Debug)]
+struct PlannedRun {
+    count: u64,
+    /// Internal aggressor row per rank side (A, B).
+    aggressor: [u32; 2],
+    /// Hit-list bounds: side A's victims are `hits[0]..hits[1]`, side B's
+    /// `hits[1]..hits[2]`.
+    hits: [u32; 3],
+}
+
+/// The victim set of an aggressor row, minus the row itself: which
+/// neighbors a run disturbs and with what per-ACT weight.
+#[derive(Debug, Clone, Copy)]
+struct BlastRadius {
+    weights: DisturbanceWeights,
+    /// RowPress scaling, `1 + rowpress_per_us * extra_open_ns / 1000`.
+    press: f64,
+    sub_rows: u32,
+    rows_per_bank: u32,
+}
+
+impl BlastRadius {
+    /// Calls `f(victim, w)` for every same-subarray victim of `aggressor`
+    /// with positive weight, in per-ACT order: distance 1 then 2, lower
+    /// then upper neighbor.
+    #[inline]
+    fn for_each_victim(&self, aggressor: u32, mut f: impl FnMut(u32, f64)) {
+        let sub = aggressor / self.sub_rows;
+        for d in 1..=self.weights.radius() {
+            let w = self.weights.at(d) * self.press;
+            if w <= 0.0 {
+                continue;
+            }
+            let lo = aggressor.checked_sub(d);
+            let hi = if aggressor + d < self.rows_per_bank {
+                Some(aggressor + d)
+            } else {
+                None
+            };
+            for v in [lo, hi].into_iter().flatten() {
+                if v / self.sub_rows == sub {
+                    f(v, w); // Other subarrays are isolated (Fig. 1).
+                }
+            }
+        }
+    }
+}
+
+/// Run prologue on one rank side: TRR observes the run, and the aggressor
+/// half-row is refreshed — every ACT refreshes the activated row itself, and
+/// after the run only the last refresh matters.
+#[inline]
+fn observe_run(state: &mut BankState, side: usize, aggressor: u32, count: u64) {
+    state.trr[side].observe_n(aggressor, count);
+    state.refresh_half_row(side as u8, aggressor);
+}
+
+/// The victim-update kernel shared by [`DramSystem::activate_burst`] and
+/// [`DramSystem::apply_run`]: accrues `count` ACTs at weight `w` on one
+/// victim and collects every newly crossed weak cell at its exact crossing
+/// act.
+#[inline]
+fn disturb_victim(
+    vs: &mut VictimState,
+    side: RankSide,
+    row: u32,
+    w: f64,
+    count: u64,
+    flips: &mut Vec<CollectedFlip>,
+) {
+    let (base, n0) = vs.add(w, count);
+    let final_disturb = base + w * ((n0 + count) as f64);
+    while vs.next_cell < vs.cells.len() && vs.cells[vs.next_cell].threshold <= final_disturb {
+        let cell = vs.cells[vs.next_cell];
+        let j = first_crossing(base, w, n0, count, cell.threshold);
+        vs.next_cell += 1;
+        flips.push((j, side, row, cell));
+    }
+}
+
+/// A compiled activation schedule for one bank: built once by
+/// [`DramSystem::plan_runs`], replayed run by run with
+/// [`DramSystem::apply_run`].
+///
+/// Victim slots index the bank's dense victim arena, which only ever
+/// grows, so a plan stays valid however much later activity — other plans
+/// included — touches the bank.
+#[derive(Debug)]
+pub struct RunPlan {
+    bank: BankId,
+    runs: Vec<PlannedRun>,
+    hits: Vec<VictimHit>,
+}
+
+impl RunPlan {
+    /// Number of runs.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Whether the plan holds no runs.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
 }
 
 /// Builder for [`DramSystem`].
@@ -246,6 +378,7 @@ impl DramSystemBuilder {
             trefi_ns,
             stats: DramStats::default(),
             scratch_flips: Vec::new(),
+            scratch_served: Vec::new(),
             scratch_read: Vec::new(),
             scratch_counts: Vec::new(),
         }
@@ -301,6 +434,8 @@ pub struct DramSystem {
     banks: Vec<Option<BankState>>,
     /// Ordinals of materialized banks in first-touch order: the distributed
     /// REF sweep visits exactly these (untouched banks hold no victim state).
+    /// A bank materialized by [`DramSystem::plan_runs`] is listed before its
+    /// first ACT; the sweep skips it until then.
     touched_banks: Vec<u32>,
     /// Written row data, media coordinates (keyed by [`row_key`]); unwritten
     /// rows read as zeros.
@@ -315,7 +450,9 @@ pub struct DramSystem {
     stats: DramStats,
     /// Reusable flip-collection buffer for the activation paths:
     /// `(act index, side, internal victim, cell)`.
-    scratch_flips: Vec<(u64, RankSide, u32, WeakCell)>,
+    scratch_flips: Vec<CollectedFlip>,
+    /// Reusable TRR serve buffer for the REF sweep.
+    scratch_served: Vec<u32>,
     /// Reusable in-range flip buffer for reads: `(byte, bit)`.
     scratch_read: Vec<(u32, u8)>,
     /// Reusable per-word flip-count buffer for reads.
@@ -438,13 +575,21 @@ impl DramSystem {
     }
 
     /// Executes one distributed REF step across all active banks.
+    ///
+    /// A bank's auto-refresh phase starts at its first ACT: a bank that a
+    /// plan materialized but nothing has activated yet is skipped, exactly
+    /// as if it did not exist (its victims and trackers are all blank).
     fn refresh_step(&mut self) {
         self.stats.ref_steps += 1;
         let chunk = (self.geometry.rows_per_bank / REFS_PER_WINDOW).max(1);
         let rows_per_bank = self.geometry.rows_per_bank;
+        let mut served = std::mem::take(&mut self.scratch_served);
         for ti in 0..self.touched_banks.len() {
             let ord = self.touched_banks[ti] as usize;
             let bank = self.banks[ord].as_mut().expect("touched bank exists");
+            if bank.acts == 0 {
+                continue;
+            }
             let start = bank.refresh_ptr;
             for i in 0..chunk {
                 bank.refresh_row((start + i) % rows_per_bank);
@@ -452,9 +597,9 @@ impl DramSystem {
             bank.refresh_ptr = (start + chunk) % rows_per_bank;
             // TRR: serve suspected aggressors by refreshing their neighbors.
             for side in 0..2u8 {
-                let served = bank.trr[side as usize].on_refresh();
+                bank.trr[side as usize].on_refresh_into(&mut served);
                 self.stats.trr_triggers += served.len() as u64;
-                for agg in served {
+                for &agg in &served {
                     for d in 1..=2u32 {
                         if agg >= d {
                             bank.refresh_half_row(side, agg - d);
@@ -466,6 +611,7 @@ impl DramSystem {
                 }
             }
         }
+        self.scratch_served = served;
     }
 
     /// Activates a row given its full media address (§2.4).
@@ -498,8 +644,11 @@ impl DramSystem {
     /// callers must split activation runs around `advance_ns` calls — i.e. a
     /// burst stands for a run of ACTs with no intervening time advance.
     /// `count = 0` is a no-op (no bank state is materialized).
+    ///
+    /// [`DramSystem::plan_runs`] + [`DramSystem::apply_run`] is the same
+    /// burst for a repeating schedule; both run the same victim-update
+    /// kernel.
     pub fn activate_burst(&mut self, bank: BankId, media_row: u32, count: u64, extra_open_ns: u64) {
-        debug_assert!(media_row < self.geometry.rows_per_bank);
         debug_assert!(
             self.now_ns < self.next_ref_ns,
             "a burst must not span a refresh boundary: split runs around advance_ns"
@@ -507,77 +656,161 @@ impl DramSystem {
         if count == 0 {
             return;
         }
-        self.stats.acts += count;
-        let rank = self.rank_of_bank[bank.0 as usize];
+        let aggressor = self.aggressor_rows(bank, media_row);
+        let blast = self.blast_radius(bank, extra_open_ns);
         let profile = self.profile_of_bank[bank.0 as usize];
-        let geometry = self.geometry;
-        let internal_cfg = self.internal;
-        let half = (geometry.row_bytes / 2) as u32;
-        let sub_rows = geometry.rows_per_subarray;
-        let rows_per_bank = geometry.rows_per_bank;
-        let rowpress = profile.rowpress_per_us * extra_open_ns as f64 / 1000.0;
-        let repaired_target = if self.repairs.is_repaired(bank, media_row) {
-            Some(self.repairs.resolve(bank, media_row))
-        } else {
-            None
-        };
-
+        let half = (self.geometry.row_bytes / 2) as u32;
+        self.stats.acts += count;
         let mut new_flips = std::mem::take(&mut self.scratch_flips);
         new_flips.clear();
-        {
-            let slot = &mut self.banks[bank.0 as usize];
-            if slot.is_none() {
-                *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
-                self.touched_banks.push(bank.0);
-            }
-            let state = slot.as_mut().expect("just materialized");
-            state.acts += count;
-            for side in RankSide::BOTH {
-                let aggressor = repaired_target
-                    .unwrap_or_else(|| internal_row(media_row, rank, side, internal_cfg));
-                state.trr[side_idx(side) as usize].observe_n(aggressor, count);
-                // Every ACT refreshes the activated row itself; after the
-                // run, only the last refresh matters.
-                state.refresh_half_row(side_idx(side), aggressor);
-                let sub = aggressor / sub_rows;
-                for d in 1..=profile.weights.radius() {
-                    let w = profile.weights.at(d) * (1.0 + rowpress);
-                    if w <= 0.0 {
-                        continue;
-                    }
-                    let lo = aggressor.checked_sub(d);
-                    let hi = if aggressor + d < rows_per_bank {
-                        Some(aggressor + d)
-                    } else {
-                        None
-                    };
-                    for v in [lo, hi].into_iter().flatten() {
-                        if v / sub_rows != sub {
-                            continue; // Subarray isolation (Fig. 1).
-                        }
-                        let vs = state.victim_mut(&profile, bank.0, side, v, half);
-                        let (base, n0) = vs.add(w, count);
-                        let final_disturb = base + w * ((n0 + count) as f64);
-                        while vs.next_cell < vs.cells.len()
-                            && vs.cells[vs.next_cell].threshold <= final_disturb
-                        {
-                            let cell = vs.cells[vs.next_cell];
-                            let j = first_crossing(base, w, n0, count, cell.threshold);
-                            vs.next_cell += 1;
-                            new_flips.push((j, side, v, cell));
-                        }
-                    }
+        let state = self.bank_state_mut(bank);
+        state.acts += count;
+        for side in RankSide::BOTH {
+            let s = side_idx(side) as usize;
+            observe_run(state, s, aggressor[s], count);
+            blast.for_each_victim(aggressor[s], |row, w| {
+                let slot = state.victim_slot(&profile, bank.0, side, row, half);
+                let vs = &mut state.victims[slot as usize];
+                disturb_victim(vs, side, row, w, count, &mut new_flips);
+            });
+        }
+        self.emit_flips(bank, self.rank_of_bank[bank.0 as usize], new_flips);
+    }
+
+    /// Compiles a schedule of same-bank activation runs — `(media_row,
+    /// count)` pairs, each run holding its row open `extra_open_ns` beyond
+    /// nominal — into a [`RunPlan`] that [`DramSystem::apply_run`] replays.
+    ///
+    /// Planning resolves everything about a run that does not change while
+    /// it repeats: each rank side's internal aggressor row (repair target
+    /// included), every same-subarray victim within the blast radius with
+    /// its RowPress-scaled weight, and each victim's slot in the bank's
+    /// victim arena. Victims are materialized here, in exactly the order the
+    /// per-ACT path would first touch them; a blank victim behaves exactly
+    /// like an absent one. The bank is materialized too, but stays out of
+    /// the REF sweep until its first ACT, so its auto-refresh phase is the
+    /// one the other paths give it. Planning changes no [`DramStats`],
+    /// flips, or disturbance; runs with `count = 0` resolve nothing. The
+    /// plan belongs to this device.
+    pub fn plan_runs(&mut self, bank: BankId, runs: &[(u32, u64)], extra_open_ns: u64) -> RunPlan {
+        let blast = self.blast_radius(bank, extra_open_ns);
+        let profile = self.profile_of_bank[bank.0 as usize];
+        let half = (self.geometry.row_bytes / 2) as u32;
+        let mut plan = RunPlan {
+            bank,
+            runs: Vec::with_capacity(runs.len()),
+            hits: Vec::new(),
+        };
+        for &(media_row, count) in runs {
+            let mut hits = [plan.hits.len() as u32; 3];
+            let mut aggressor = [0; 2];
+            if count > 0 {
+                aggressor = self.aggressor_rows(bank, media_row);
+                let state = self.bank_state_mut(bank);
+                for side in RankSide::BOTH {
+                    let s = side_idx(side) as usize;
+                    blast.for_each_victim(aggressor[s], |row, w| {
+                        let slot = state.victim_slot(&profile, bank.0, side, row, half);
+                        plan.hits.push(VictimHit { slot, row, w });
+                    });
+                    hits[s + 1] = plan.hits.len() as u32;
                 }
             }
+            plan.runs.push(PlannedRun {
+                count,
+                aggressor,
+                hits,
+            });
         }
-        // Restore per-ACT emission order: ascending crossing act, ties kept
-        // in (side, distance, lo/hi, cell) collection order by stability.
-        new_flips.sort_by_key(|f| f.0);
-        for &(_, side, internal_victim, cell) in &new_flips {
+        plan
+    }
+
+    /// Replays run `i` of `plan`: bit-identical to
+    /// `activate_burst(bank, row_i, count_i, extra_open_ns)` at this point
+    /// (same TRR replay, aggressor self-refresh, victim updates, and flip
+    /// order), without re-deriving any of the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range, or (in effect) if `plan` was built by
+    /// another device.
+    #[inline]
+    pub fn apply_run(&mut self, plan: &RunPlan, i: usize) {
+        debug_assert!(
+            self.now_ns < self.next_ref_ns,
+            "a burst must not span a refresh boundary: split runs around advance_ns"
+        );
+        let run = &plan.runs[i];
+        let count = run.count;
+        if count == 0 {
+            return;
+        }
+        self.stats.acts += count;
+        let mut new_flips = std::mem::take(&mut self.scratch_flips);
+        new_flips.clear();
+        let state = self.banks[plan.bank.0 as usize]
+            .as_mut()
+            .expect("planning materialized the bank");
+        state.acts += count;
+        for (s, side) in RankSide::BOTH.into_iter().enumerate() {
+            observe_run(state, s, run.aggressor[s], count);
+            let hits = &plan.hits[run.hits[s] as usize..run.hits[s + 1] as usize];
+            for hit in hits {
+                let vs = &mut state.victims[hit.slot as usize];
+                disturb_victim(vs, side, hit.row, hit.w, count, &mut new_flips);
+            }
+        }
+        let rank = self.rank_of_bank[plan.bank.0 as usize];
+        self.emit_flips(plan.bank, rank, new_flips);
+    }
+
+    /// Materializes `bank`'s state on first touch.
+    #[inline]
+    fn bank_state_mut(&mut self, bank: BankId) -> &mut BankState {
+        let slot = &mut self.banks[bank.0 as usize];
+        if slot.is_none() {
+            *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
+            self.touched_banks.push(bank.0);
+        }
+        slot.as_mut().expect("just materialized")
+    }
+
+    /// The internal row physically activated on each rank side (A, B) by an
+    /// ACT of `media_row`: a repaired row's charge lives at its spare (§6);
+    /// otherwise the DDR4/vendor transforms apply.
+    #[inline]
+    fn aggressor_rows(&self, bank: BankId, media_row: u32) -> [u32; 2] {
+        debug_assert!(media_row < self.geometry.rows_per_bank);
+        if self.repairs.is_repaired(bank, media_row) {
+            return [self.repairs.resolve(bank, media_row); 2];
+        }
+        let rank = self.rank_of_bank[bank.0 as usize];
+        RankSide::BOTH.map(|side| internal_row(media_row, rank, side, self.internal))
+    }
+
+    /// The blast radius of ACTs to `bank` holding rows open `extra_open_ns`.
+    #[inline]
+    fn blast_radius(&self, bank: BankId, extra_open_ns: u64) -> BlastRadius {
+        let profile = &self.profile_of_bank[bank.0 as usize];
+        BlastRadius {
+            weights: profile.weights,
+            press: 1.0 + profile.rowpress_per_us * extra_open_ns as f64 / 1000.0,
+            sub_rows: self.geometry.rows_per_subarray,
+            rows_per_bank: self.geometry.rows_per_bank,
+        }
+    }
+
+    /// Applies collected flips in per-ACT order — ascending crossing act,
+    /// ties kept in (side, distance, lo/hi, cell) collection order by the
+    /// stable sort — and returns the buffer to scratch.
+    #[inline]
+    fn emit_flips(&mut self, bank: BankId, rank: u16, mut flips: Vec<CollectedFlip>) {
+        flips.sort_by_key(|f| f.0);
+        for &(_, side, internal_victim, cell) in &flips {
             self.apply_flip(bank, rank, side, internal_victim, cell);
         }
-        new_flips.clear();
-        self.scratch_flips = new_flips;
+        flips.clear();
+        self.scratch_flips = flips;
     }
 
     /// The per-ACT reference path (see [`DramSystem::activate_burst`] for
@@ -602,12 +835,7 @@ impl DramSystem {
         let mut new_flips = std::mem::take(&mut self.scratch_flips);
         new_flips.clear();
         {
-            let slot = &mut self.banks[bank.0 as usize];
-            if slot.is_none() {
-                *slot = Some(BankState::new(self.trr_capacity, self.trr_served));
-                self.touched_banks.push(bank.0);
-            }
-            let state = slot.as_mut().expect("just materialized");
+            let state = self.bank_state_mut(bank);
             state.acts += 1;
             for side in RankSide::BOTH {
                 // The internal row whose cells are physically activated: a
@@ -650,6 +878,7 @@ impl DramSystem {
                 }
             }
         }
+        // Collection order is the per-ACT order the burst paths reproduce.
         for &(_, side, internal_victim, cell) in &new_flips {
             self.apply_flip(bank, rank, side, internal_victim, cell);
         }

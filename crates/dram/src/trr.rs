@@ -102,21 +102,32 @@ impl TrrTracker {
 
     /// Handles a REF command: returns the internal rows whose *neighbors*
     /// should be refreshed now (the suspected aggressors), resetting their
-    /// counters.
+    /// counters. Allocates; the per-REF sweep uses
+    /// [`TrrTracker::on_refresh_into`].
     pub fn on_refresh(&mut self) -> Vec<u32> {
+        let mut served = Vec::new();
+        self.on_refresh_into(&mut served);
+        served
+    }
+
+    /// [`TrrTracker::on_refresh`] into a caller-owned buffer (cleared
+    /// first), so a reused buffer makes the serve allocation-free.
+    ///
+    /// The most-activated entries are served first; the stable sort keeps
+    /// tied entries in tracker order, and leaves the tracker in that order.
+    pub fn on_refresh_into(&mut self, served: &mut Vec<u32>) {
+        served.clear();
         if self.capacity == 0 || self.served_per_ref == 0 {
-            return Vec::new();
+            return;
         }
         self.entries.sort_by_key(|e| std::cmp::Reverse(e.1));
         let n = self.served_per_ref.min(self.entries.len());
-        let mut served = Vec::with_capacity(n);
         for e in self.entries.iter_mut().take(n) {
             if e.1 > 0 {
                 served.push(e.0);
                 e.1 = 0;
             }
         }
-        served
     }
 
     /// Currently-tracked `(row, count)` entries (diagnostics).
@@ -223,6 +234,55 @@ mod tests {
         let mut d = TrrTracker::disabled();
         d.observe_n(10, 100);
         assert!(d.entries().is_empty());
+    }
+
+    /// The serve `on_refresh_into` must reproduce: sort by descending count
+    /// (stable), then take the first `served_per_ref`.
+    fn on_refresh_sort_then_take(entries: &mut [(u32, u64)], served_per_ref: usize) -> Vec<u32> {
+        entries.sort_by_key(|e| std::cmp::Reverse(e.1));
+        let mut served = Vec::new();
+        for e in entries.iter_mut().take(served_per_ref) {
+            if e.1 > 0 {
+                served.push(e.0);
+                e.1 = 0;
+            }
+        }
+        served
+    }
+
+    #[test]
+    fn served_rows_match_sort_then_take_including_ties() {
+        // Capacity 6, serving 3, with only a few distinct counts so ties are
+        // everywhere: the served order, the entries' post-sort order, and
+        // every later Misra-Gries step must match the old semantics.
+        for (capacity, served_per_ref) in [(6usize, 3usize), (4, 2), (2, 8), (8, 8)] {
+            let mut fast = TrrTracker::new(capacity, served_per_ref);
+            // One reused buffer, as the REF sweep holds it: stale contents
+            // from the previous serve must never leak into the next.
+            let mut served = vec![u32::MAX; 3];
+            let mut x = 0x9e37_79b9_u64 ^ capacity as u64;
+            for step in 0..4_000u32 {
+                x = crate::util::splitmix64(x);
+                let row = (x % 11) as u32;
+                let n = 1 + (x >> 32) % 3;
+                fast.observe_n(row, n);
+                if step % 5 == 4 {
+                    let mut old = fast.entries.clone();
+                    let expected = on_refresh_sort_then_take(&mut old, served_per_ref);
+                    fast.on_refresh_into(&mut served);
+                    assert_eq!(served, expected, "step {step}");
+                    assert_eq!(fast.entries(), old.as_slice(), "step {step}");
+                }
+            }
+        }
+        // A hand-built tie: equal counts keep tracker order.
+        let mut t = TrrTracker::new(4, 2);
+        for row in [7, 3, 9, 1] {
+            t.observe_n(row, 5);
+        }
+        t.observe_n(9, 1);
+        assert_eq!(t.on_refresh(), vec![9, 7]);
+        assert_eq!(t.entries(), [(9, 0), (7, 0), (3, 5), (1, 5)]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the performance suite: builds release, runs the perfsuite binary
-# (decode TLB vs raw decode, flat vs hashed controller, compiled trace
-# replay cold and warm vs the uncompiled figure engine, fleet incremental
-# proofs, and the per-ACT mitigation-hook overhead rows), and leaves the
+# (decode TLB vs raw decode, flat vs hashed controller, compiled vs
+# per-burst hammer patterns, compiled trace replay cold and warm vs the
+# uncompiled figure engine, fleet incremental proofs, and the per-ACT
+# mitigation-hook overhead rows), and leaves the
 # measurements in BENCH_perfsuite.json plus a telemetry snapshot in
 # TELEMETRY_perfsuite.json at the repo root. Every row — including the
 # figure4_quick / figure4_compiled trace-compiler rows and the
